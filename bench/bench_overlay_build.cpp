@@ -3,12 +3,10 @@
 // cryptographic primitives on HERMES's critical path.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -66,7 +64,7 @@ void BM_SimulatedAnnealingPass(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(9);
     benchmark::DoNotOptimize(
-        overlay::anneal(tree, ranks, params, rng, costs, nullptr));
+        overlay::anneal(tree, ranks, params, rng, costs));
   }
 }
 BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);
@@ -90,34 +88,6 @@ void BM_SimulatedAnnealingColdCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedAnnealingColdCache)->Unit(benchmark::kMillisecond);
-
-// Serial vs parallel candidate evaluation at a fixed batch size; Arg is the
-// worker count. The annealed overlay is bit-identical across all Args.
-void BM_SimulatedAnnealingWorkers(benchmark::State& state) {
-  const std::size_t n = 200;
-  const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RobustTreeParams tree_params;
-  tree_params.f = 1;
-  overlay::RankTable ranks(n, 0.0);
-  const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, tree_params, ranks);
-  overlay::AnnealingParams params =
-      bench::bench_hermes_config().builder.annealing;
-  params.batch_size = 8;
-  params.workers = static_cast<std::size_t>(state.range(0));
-  overlay::LinkCostCache costs(topo.graph);
-  ThreadPool pool(params.workers > 1 ? params.workers - 1 : 0);
-  for (auto _ : state) {
-    Rng rng(9);
-    benchmark::DoNotOptimize(
-        overlay::anneal(tree, ranks, params, rng, costs, &pool));
-  }
-}
-BENCHMARK(BM_SimulatedAnnealingWorkers)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_OverlayEncode(benchmark::State& state) {
   const std::size_t n = 200;
@@ -192,8 +162,6 @@ void BM_OverlaySetBuildK10AtNodes(benchmark::State& state, std::size_t n) {
   params.f = 1;
   params.k = 10;
   params.annealing = bench::bench_hermes_config().builder.annealing;
-  params.annealing.batch_size = 8;
-  params.annealing.workers = std::max(1u, std::thread::hardware_concurrency());
   for (auto _ : state) {
     Rng rng(7);
     benchmark::DoNotOptimize(overlay::build_overlay_set(topo.graph, params, rng));

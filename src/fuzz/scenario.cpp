@@ -114,8 +114,7 @@ Scenario generate_scenario(std::uint64_t seed, bool extended) {
     // Route-relayed injection survives only <= f Byzantine relays (f+1
     // disjoint paths), so it is sampled only inside that bound.
     s.direct_injection = s.byzantine.size() > s.f || rng.bernoulli(0.8);
-    const std::uint64_t w = rng.uniform_u64(5);
-    s.annealing_workers = w < 3 ? 1 : (w == 3 ? 2 : 4);
+    rng.uniform_u64(5);  // retired annealing-worker draw; keeps the stream
   }
 
   // Injection schedule: honest senders only (a Byzantine "client" is the
@@ -397,7 +396,6 @@ std::string serialize(const Scenario& s) {
   out << "enable_fallback=" << (s.enable_fallback ? 1 : 0) << "\n";
   out << "enable_acks=" << (s.enable_acks ? 1 : 0) << "\n";
   out << "direct_injection=" << (s.direct_injection ? 1 : 0) << "\n";
-  out << "annealing_workers=" << s.annealing_workers << "\n";
   out << "self_healing=" << (s.self_healing ? 1 : 0) << "\n";
   // Churn-layer keys are emitted only when on, so historical corpus files
   // round-trip byte-identically.
@@ -573,7 +571,6 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       else if (key == "enable_fallback") s.enable_fallback = to_u64(value) != 0;
       else if (key == "enable_acks") s.enable_acks = to_u64(value) != 0;
       else if (key == "direct_injection") s.direct_injection = to_u64(value) != 0;
-      else if (key == "annealing_workers") s.annealing_workers = to_u64(value);
       else if (key == "self_healing") s.self_healing = to_u64(value) != 0;
       else if (key == "join_admission") s.join_admission = to_u64(value) != 0;
       else if (key == "epoch_pipeline") s.epoch_pipeline = to_u64(value) != 0;

@@ -99,7 +99,6 @@ struct Scenario {
   bool enable_fallback = true;
   bool enable_acks = false;
   bool direct_injection = true;  // false: relay over f+1 disjoint paths
-  std::size_t annealing_workers = 1;
   // Self-healing loop (HermesConfig::enable_self_healing): health ticks,
   // gap pulls, local repair, health-triggered view changes.
   bool self_healing = false;

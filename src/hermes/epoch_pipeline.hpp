@@ -8,8 +8,8 @@
 // re-anneal of epoch e+1 is kicked off "in the background": the anneal is
 // modeled as `anneal_ms` of simulated wall-time during which epoch e keeps
 // serving traffic; when the timer fires the install callback builds the
-// new overlay set (on the builder thread pool) and performs the quiescent
-// handoff inside the same barrier-serialized control event, so sharded-sim
+// new overlay set and performs the quiescent handoff inside the same
+// barrier-serialized control event, so sharded-sim
 // determinism holds. If further churn arrived mid-anneal the pipelined
 // epoch would be stale on arrival — it is invalidated and retried with
 // exponential backoff, up to a retry cap after which it installs anyway

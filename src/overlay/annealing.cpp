@@ -69,7 +69,6 @@ ObjectiveComponents components_from(const Overlay& o, const RankTable& ranks,
 // (Algorithm 3 step 2, extended to predecessors which the delivery
 // guarantee needs).
 void repair_connectivity(IncrementalObjective& state,
-                         const AnnealingParams& params,
                          const LinkCostCache& costs, MoveDelta* delta) {
   const Overlay& o = state.overlay();
   const std::size_t f = o.f();
@@ -85,14 +84,14 @@ void repair_connectivity(IncrementalObjective& state,
         double best_cost = net::kInfLatency;
         for (NodeId c : layer_list[d + 1]) {
           if (o.has_link(v, c)) continue;
-          if (params.physical_links_only && !costs.physical(v, c)) continue;
+          if (!costs.physical(v, c)) continue;
           const double w = costs.cost(v, c);
           if (w < best_cost) {
             best_cost = w;
             best = c;
           }
         }
-        if (best == net::NodeId(-1) && params.physical_links_only) {
+        if (best == net::NodeId(-1)) {
           // No physical candidate left; fall back to a logical link.
           for (NodeId c : layer_list[d + 1]) {
             if (o.has_link(v, c)) continue;
@@ -117,7 +116,7 @@ void repair_connectivity(IncrementalObjective& state,
         for (std::size_t pd = 1; pd < d; ++pd) {
           for (NodeId p : layer_list[pd]) {
             if (o.has_link(p, v)) continue;
-            if (params.physical_links_only && !costs.physical(p, v)) continue;
+            if (!costs.physical(p, v)) continue;
             const double w = costs.cost(p, v);
             if (w < best_cost) {
               best_cost = w;
@@ -149,10 +148,9 @@ void repair_connectivity(IncrementalObjective& state,
 
 // One random neighbor move (Algorithm 3) applied in place, recording every
 // effective edit. The caller brackets this with begin_move()/
-// take_move_delta()/revert().
+// take_move_delta() and reverts the edits if it rejects the move.
 MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
-                        double mean, const AnnealingParams& params,
-                        const LinkCostCache& costs, Rng& rng) {
+                        double mean, const LinkCostCache& costs, Rng& rng) {
   MoveDelta delta;
   const Overlay& o = state.overlay();
   const auto& layer_list = state.layers();
@@ -184,14 +182,14 @@ MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
       const NodeId c =
           layer_list[d + 1][rng.uniform_u64(layer_list[d + 1].size())];
       if (o.has_link(p, c)) continue;
-      if (params.physical_links_only && !costs.physical(p, c)) continue;
+      if (!costs.physical(p, c)) continue;
       state.add_link(p, c, costs.cost(p, c), &delta);
       break;
     }
   }
 
   // --- Step 2: restore f+1 connectivity.
-  repair_connectivity(state, params, costs, &delta);
+  repair_connectivity(state, costs, &delta);
 
   // --- Step 3: rank-penalty adjustment — nodes sitting near the root with
   // excess edges shed load; children with spare predecessors lose the link
@@ -338,7 +336,8 @@ void IncrementalObjective::flush() {
   // depth, so by the time a node is popped all of its predecessors hold
   // final values and dist_[v] can be recomputed as a full min over them.
   // The (depth, id) pop order also fixes the floating-point accumulation
-  // order of d_latency_sum, making per-move deltas worker-independent.
+  // order of d_latency_sum, so a move's delta depends only on the move and
+  // the structure it was made on.
   using QEntry = std::pair<std::size_t, NodeId>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
   for (NodeId v : dirty_) pq.emplace(o_.depth(v), v);
@@ -393,17 +392,6 @@ ComponentDelta IncrementalObjective::take_move_delta() {
   return pending_;
 }
 
-void IncrementalObjective::apply(const MoveDelta& delta) {
-  for (const auto& op : delta.ops) {
-    if (op.add) {
-      add_link(op.parent, op.child, op.latency_ms, nullptr);
-    } else {
-      remove_link(op.parent, op.child, nullptr);
-    }
-  }
-  flush();
-}
-
 void IncrementalObjective::revert(const MoveDelta& delta) {
   for (auto it = delta.ops.rbegin(); it != delta.ops.rend(); ++it) {
     if (it->add) {
@@ -438,7 +426,7 @@ Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
   IncrementalObjective state(current, ranks, params.weights);
   const double current_value = state.value();
   state.begin_move();
-  generate_move(state, ranks, mean_rank(ranks), params, costs, rng);
+  generate_move(state, ranks, mean_rank(ranks), costs, rng);
   state.flush();
   if (params.greedy_neighbor_filter && state.value() >= current_value) {
     return current;  // Algorithm 3 step 4: discard if no improvement
@@ -450,106 +438,59 @@ Overlay anneal(const Overlay& initial, const net::Graph& g,
                const RankTable& ranks, const AnnealingParams& params,
                Rng& rng) {
   LinkCostCache costs(g);
-  return anneal(initial, ranks, params, rng, costs, nullptr);
+  return anneal(initial, ranks, params, rng, costs);
 }
 
 Overlay anneal(const Overlay& initial, const RankTable& ranks,
                const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs, ThreadPool* pool) {
+               const LinkCostCache& costs) {
   const std::size_t n = initial.node_count();
   if (n == 0) return initial;
 
-  const std::size_t batch = std::max<std::size_t>(1, params.batch_size);
-  // More lanes than candidates would idle; candidate results do not depend
-  // on the lane that scored them, so clamping keeps determinism intact.
-  const std::size_t lanes =
-      std::min(std::max<std::size_t>(1, params.workers), batch);
-  std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr && lanes > 1) {
-    own_pool = std::make_unique<ThreadPool>(lanes - 1);
-    pool = own_pool.get();
-  }
-
   const double mean = mean_rank(ranks);
-  // One replica per lane; all replicas replay the same accepted deltas, so
-  // they stay structurally identical and any lane can score any candidate.
-  std::vector<std::unique_ptr<IncrementalObjective>> replicas;
-  replicas.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    replicas.push_back(
-        std::make_unique<IncrementalObjective>(initial, ranks, params.weights));
-  }
+  IncrementalObjective state(initial, ranks, params.weights);
 
-  // The chain's components live outside the replicas and only ever absorb
-  // accepted ComponentDeltas — replica-local float drift from speculative
-  // apply/revert cycles never reaches an acceptance decision.
-  ObjectiveComponents current = replicas[0]->components();
+  // The chain's components live outside `state` and only ever absorb
+  // accepted ComponentDeltas: state's own floating-point sums drift in the
+  // last bits over move/revert cycles, and that drift must never reach an
+  // acceptance decision.
+  ObjectiveComponents current = state.components();
   double current_value = current.value(n, params.weights);
   Overlay best = initial;
   double best_value = current_value;
 
-  struct Candidate {
-    MoveDelta delta;
-    ComponentDelta d;
-    double accept_u = 0.0;
-  };
-  std::vector<Candidate> cands(batch);
-  std::vector<Rng> cand_rngs;
-  cand_rngs.reserve(batch);
-
   double t = params.initial_temperature;
   while (t > params.min_temperature) {
     for (std::size_t move = 0; move < params.moves_per_temperature; ++move) {
-      // Per-candidate streams, forked serially in index order: the random
-      // sequence is fixed by the chain rng alone, not by scheduling.
-      cand_rngs.clear();
-      for (std::size_t i = 0; i < batch; ++i) cand_rngs.push_back(rng.fork(i + 1));
+      // One forked stream per round: the move and then its acceptance draw
+      // come from it, and the chain rng advances by one fork per round.
+      Rng round_rng = rng.fork(1);
+      state.begin_move();
+      const MoveDelta delta =
+          generate_move(state, ranks, mean, costs, round_rng);
+      const ComponentDelta d = state.take_move_delta();
+      if (delta.empty()) continue;
 
-      auto eval_lane = [&](std::size_t lane) {
-        IncrementalObjective& rep = *replicas[lane];
-        for (std::size_t i = lane; i < batch; i += lanes) {
-          rep.begin_move();
-          MoveDelta d = generate_move(rep, ranks, mean, params, costs,
-                                      cand_rngs[i]);
-          cands[i].d = rep.take_move_delta();
-          cands[i].accept_u = cand_rngs[i].uniform01();
-          rep.revert(d);
-          cands[i].delta = std::move(d);
-        }
-      };
-      if (lanes > 1) {
-        pool->parallel_for(lanes, eval_lane);
-      } else {
-        eval_lane(0);
+      ObjectiveComponents next = current;
+      next.edges += d.d_edges;
+      next.latency_sum += d.d_latency_sum;
+      next.unreachable += d.d_unreachable;
+      next.connectivity_deficit += d.d_connectivity;
+      const double next_value = next.value(n, params.weights);
+      const bool accept =
+          !(params.greedy_neighbor_filter && next_value >= current_value) &&
+          (next_value < current_value ||
+           std::exp(-(next_value - current_value) / t) >
+               round_rng.uniform01());
+      if (!accept) {
+        state.revert(delta);
+        continue;
       }
-
-      // Acceptance sweep in candidate order: the first acceptable
-      // candidate is applied, the rest of the batch is discarded
-      // (speculative moves). Purely serial and deterministic.
-      for (std::size_t i = 0; i < batch; ++i) {
-        Candidate& cand = cands[i];
-        if (cand.delta.empty()) continue;
-        ObjectiveComponents next = current;
-        next.edges += cand.d.d_edges;
-        next.latency_sum += cand.d.d_latency_sum;
-        next.unreachable += cand.d.d_unreachable;
-        next.connectivity_deficit += cand.d.d_connectivity;
-        const double next_value = next.value(n, params.weights);
-        if (params.greedy_neighbor_filter && next_value >= current_value) {
-          continue;
-        }
-        const bool accept =
-            next_value < current_value ||
-            std::exp(-(next_value - current_value) / t) > cand.accept_u;
-        if (!accept) continue;
-        current = next;
-        current_value = next_value;
-        for (auto& rep : replicas) rep->apply(cand.delta);
-        if (current_value < best_value) {
-          best_value = current_value;
-          best = replicas[0]->overlay();
-        }
-        break;
+      current = next;
+      current_value = next_value;
+      if (current_value < best_value) {
+        best_value = current_value;
+        best = state.overlay();
       }
     }
     t *= params.cooling_rate;

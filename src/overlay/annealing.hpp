@@ -22,11 +22,10 @@
 // MoveDelta edit lists and an IncrementalObjective that maintains every
 // Eq.-(1) term per link change — O(degree) for the counting terms and a
 // dirty-subtree recompute for dissemination latencies — instead of copying
-// the overlay and rescoring it from scratch. Each annealing round scores a
-// batch of independent candidates, optionally across a ThreadPool; every
-// candidate owns a forked Rng stream and acceptance sweeps candidates in
-// index order, so the result is bit-identical for a fixed seed regardless
-// of worker count.
+// the overlay and rescoring it from scratch. The chain is one serial
+// sequence of in-place moves on a single IncrementalObjective: each round
+// makes a move, scores it from its ComponentDelta, keeps it if accepted and
+// reverts it otherwise. The result is bit-identical for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,7 @@
 #include "overlay/overlay.hpp"
 #include "overlay/robust_tree.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace hermes::overlay {
 
@@ -55,19 +54,8 @@ struct AnnealingParams {
   double initial_temperature = 50.0;
   double min_temperature = 0.05;
   double cooling_rate = 0.97;  // alpha in Algorithm 2
-  // Annealing rounds per temperature step.
+  // Annealing rounds (one candidate move each) per temperature step.
   std::size_t moves_per_temperature = 8;
-  // Independent candidate moves scored per round; the first acceptable one
-  // (in candidate order) is applied. Values > 1 raise per-round acceptance
-  // odds and feed the worker pool with parallel work.
-  std::size_t batch_size = 1;
-  // Parallel evaluation lanes (1 = serial). The annealed overlay is
-  // bit-identical for a fixed seed regardless of this value; it only
-  // controls how candidate scoring is scheduled.
-  std::size_t workers = 1;
-  // Restrict edge additions to physical links of G; logical fallbacks use
-  // shortest-path latencies (same rule as robust-tree integration).
-  bool physical_links_only = true;
   // When true, GenerateNeighbor discards non-improving candidates before
   // the SA accept rule, as literally written in Algorithm 3 step 4. The
   // default keeps the standard SA accept rule of Algorithm 2.
@@ -77,8 +65,8 @@ struct AnnealingParams {
 
 // Lazily caches single-source shortest-path latencies of the physical
 // graph, so logical-link costs stay cheap inside the annealing loop.
-// Thread-safe: one instance is shared by all annealing workers and across
-// all k trees of build_overlay_set. Rows are immutable once computed.
+// Thread-safe: one instance is shared across all k trees of
+// build_overlay_set and across epochs. Rows are immutable once computed.
 class LinkCostCache {
  public:
   explicit LinkCostCache(const net::Graph& g) : g_(g) {}
@@ -127,8 +115,7 @@ struct ObjectiveComponents {
 
 // Exact change of the history-independent terms over one move. The latency
 // term is accumulated in a deterministic order (dirty nodes by depth, then
-// id), so for a given move on a given structure the delta is bit-identical
-// no matter which worker lane computed it.
+// id), so for a given move on a given structure the delta is bit-identical.
 struct ComponentDelta {
   std::int64_t d_edges = 0;
   double d_latency_sum = 0.0;
@@ -143,9 +130,9 @@ struct ComponentDelta {
 // increase depth, so a depth-ordered sweep over dirty nodes is exact).
 //
 // The dissemination-latency vector is a pure function of the overlay
-// structure: every replica that applied the same accepted deltas holds
-// value-identical latencies, which is what makes multi-worker annealing
-// deterministic.
+// structure, so a move followed by its revert restores it exactly. The
+// floating-point latency_sum does not share that property: it may drift in
+// the last bits over move/revert cycles.
 class IncrementalObjective {
  public:
   IncrementalObjective(Overlay o, const RankTable& ranks,
@@ -174,9 +161,6 @@ class IncrementalObjective {
   void begin_move();
   ComponentDelta take_move_delta();
 
-  // Replays an accepted delta (all ops must be effective, which holds when
-  // it was generated against an identical structure).
-  void apply(const MoveDelta& delta);
   // Undoes a delta produced by this replica: inverse ops in reverse order.
   void revert(const MoveDelta& delta);
 
@@ -208,9 +192,11 @@ ObjectiveComponents objective_components(const Overlay& o,
 
 // One random neighbor move (Algorithm 3): add or remove an edge between
 // consecutive layers, then repair f+1-connectivity, then push low-rank
-// nodes' excess links toward higher-rank, deeper nodes. The overload with
-// a LinkCostCache reuses the caller's cache instead of rebuilding one per
-// call.
+// nodes' excess links toward higher-rank, deeper nodes. Added edges use
+// physical links of G only; the repair falls back to a logical link at
+// shortest-path latency when no physical candidate is left (same rule as
+// robust-tree integration). The overload with a LinkCostCache reuses the
+// caller's cache instead of rebuilding one per call.
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng);
@@ -219,14 +205,12 @@ Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
                           const LinkCostCache& costs, Rng& rng);
 
 // Algorithm 2: returns the best overlay found. Deterministic for a fixed
-// seed, independent of params.workers and of the pool passed in. The
-// overload taking a LinkCostCache/ThreadPool shares them across calls
-// (build_overlay_set uses one of each for all k trees); pass pool ==
-// nullptr to let the call spin up its own lanes when params.workers > 1.
+// seed. The overload taking a LinkCostCache shares it across calls
+// (build_overlay_set uses one for all k trees).
 Overlay anneal(const Overlay& initial, const net::Graph& g,
                const RankTable& ranks, const AnnealingParams& params, Rng& rng);
 Overlay anneal(const Overlay& initial, const RankTable& ranks,
                const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs, ThreadPool* pool);
+               const LinkCostCache& costs);
 
 }  // namespace hermes::overlay

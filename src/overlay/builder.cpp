@@ -1,37 +1,27 @@
 #include "overlay/builder.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 
 #include "overlay/join.hpp"
 #include "overlay/repair.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hermes::overlay {
 
 namespace {
 
-// Shared per-build state: the cost cache (external when the caller owns
-// one across epochs) and the worker pool for parallel candidate scoring.
+// Shared per-build state: the cost cache, external when the caller owns
+// one across epochs.
 struct BuildContext {
   const LinkCostCache* costs = nullptr;
   std::optional<LinkCostCache> owned_costs;
-  std::unique_ptr<ThreadPool> pool;
 
-  BuildContext(const net::Graph& g, const BuilderParams& params,
-               const LinkCostCache* external) {
+  BuildContext(const net::Graph& g, const LinkCostCache* external) {
     if (external != nullptr) {
       costs = external;
     } else {
       owned_costs.emplace(g);
       costs = &*owned_costs;
-    }
-    if (params.optimize && params.annealing.workers > 1 &&
-        params.annealing.batch_size > 1) {
-      const std::size_t lanes =
-          std::min(params.annealing.workers, params.annealing.batch_size);
-      pool = std::make_unique<ThreadPool>(lanes - 1);
     }
   }
 };
@@ -43,8 +33,7 @@ void optimize_and_rank(Overlay&& tree, std::size_t l, const net::Graph& g,
                        OverlaySet& set, Rng& rng, const BuildContext& ctx) {
   if (params.optimize) {
     Rng anneal_rng = rng.fork(0x5eedl + l);
-    tree = anneal(tree, before, params.annealing, anneal_rng, *ctx.costs,
-                  ctx.pool.get());
+    tree = anneal(tree, before, params.annealing, anneal_rng, *ctx.costs);
     // Re-derive the rank contribution (root proximity, see robust_tree.cpp)
     // from the optimized depths.
     const double max_depth = static_cast<double>(tree.max_depth());
@@ -78,7 +67,7 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
   RobustTreeParams tree_params = params.tree;
   tree_params.f = params.f;
 
-  BuildContext ctx(g, params, costs);
+  BuildContext ctx(g, costs);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
@@ -100,7 +89,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
   RobustTreeParams tree_params = params.tree;
   tree_params.f = params.f;
 
-  BuildContext ctx(g, params, costs);
+  BuildContext ctx(g, costs);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);

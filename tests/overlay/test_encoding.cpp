@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "crypto/sha256.hpp"
 #include "crypto/sim_signer.hpp"
 #include "net/topology.hpp"
+#include "overlay/builder.hpp"
 #include "overlay/robust_tree.hpp"
 
 namespace hermes::overlay {
@@ -126,6 +132,93 @@ TEST(Encoding, VerifyRejectsStructurallyInvalidButSignedOverlay) {
   const auto cert = certify_overlay(broken, scheme);
   ASSERT_TRUE(cert.has_value());
   EXPECT_FALSE(verify_certified_overlay(*cert, scheme));
+}
+
+// Pinned overlay encodings: SHA-256 over the concatenated encode_overlay of
+// every tree build_overlay_set returns, with the default annealing
+// schedule. Any change to tree construction, annealing moves, acceptance or
+// the wire format shows up here as a digest change. The digests are a
+// regression baseline, so a deliberate behaviour change must re-pin them.
+std::string set_digest(const OverlaySet& set) {
+  crypto::Sha256 h;
+  for (const Overlay& o : set.overlays) h.update(encode_overlay(o));
+  return hex_encode(crypto::digest_to_bytes(h.finish()));
+}
+
+net::Topology pinned_topology(std::size_t n, std::uint64_t seed) {
+  net::TopologyParams tp;
+  tp.node_count = n;
+  Rng trng(seed);
+  return net::make_topology(tp, trng);
+}
+
+BuilderParams pinned_builder() {
+  BuilderParams p;
+  p.f = 1;
+  p.k = 3;
+  return p;
+}
+
+struct PinnedBuild {
+  std::size_t nodes;
+  std::uint64_t seed;
+  const char* digest;
+};
+
+void PrintTo(const PinnedBuild& c, std::ostream* os) {
+  *os << "n=" << c.nodes << " seed=" << c.seed;
+}
+
+class PinnedOverlayEncoding : public ::testing::TestWithParam<PinnedBuild> {};
+
+TEST_P(PinnedOverlayEncoding, BuildOverlaySetDigestIsUnchanged) {
+  const PinnedBuild& c = GetParam();
+  const net::Topology topo = pinned_topology(c.nodes, c.seed);
+  Rng rng(c.seed + 1);
+  const OverlaySet set = build_overlay_set(topo.graph, pinned_builder(), rng);
+  EXPECT_EQ(set_digest(set), c.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, PinnedOverlayEncoding,
+    ::testing::Values(
+        PinnedBuild{100, 1,
+                    "e503a68a8a71c89013bd13732c11b9482a8eb7c1662beecafccbd48ebcdc17f6"},
+        PinnedBuild{100, 2,
+                    "539d816bf7bbdcade58211dfcdd43f9fc1d12054a096c5339413897f52bdd7a5"},
+        PinnedBuild{100, 3,
+                    "a47212eb02dc7edef28f9da8d84f3a815ecdc0b82b7d1db59bcfff2f5c46474f"},
+        PinnedBuild{200, 1,
+                    "8644b04e815f5514c62b15b7a329bd74588623928832e596b79a8b749b6038c2"},
+        PinnedBuild{200, 2,
+                    "6da3c1dc8ff29dac8f79d38b98864320a5aec00f1b8149e69fef3c3907624661"},
+        PinnedBuild{200, 3,
+                    "fce960ce2f1b48c0c170409000e1673f1ad4498f3abff77b73d348b10d539a4c"}),
+    [](const ::testing::TestParamInfo<PinnedBuild>& info) {
+      return "n" + std::to_string(info.param.nodes) + "_seed" +
+             std::to_string(info.param.seed);
+    });
+
+// The warm-started rebuild of the epoch pipeline: three nodes churn out of
+// the first generation and the next one is re-annealed from it.
+TEST(PinnedOverlayEncodingWarm, BuildOverlaySetWarmDigestIsUnchanged) {
+  const net::Topology topo = pinned_topology(100, 1);
+  const BuilderParams params = pinned_builder();
+  Rng r0(2);
+  const OverlaySet previous = build_overlay_set(topo.graph, params, r0);
+  std::vector<NodeId> churned;
+  for (NodeId v = 0; v < topo.graph.node_count() && churned.size() < 3; ++v) {
+    if (!previous.overlays.front().is_entry(v) &&
+        previous.overlays.front().depth(v) >= 2) {
+      churned.push_back(v);
+    }
+  }
+  ASSERT_EQ(churned.size(), 3u);
+  Rng r1(3);
+  const OverlaySet warm =
+      build_overlay_set_warm(topo.graph, params, previous, churned, r1);
+  EXPECT_EQ(set_digest(warm),
+            "f8bb1a58d9ed145234a87fc34c6514a8a21bd1b5d63c734c476d3c56fcd4c172");
 }
 
 }  // namespace

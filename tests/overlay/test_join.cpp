@@ -215,45 +215,6 @@ TEST(WarmRebuild, WarmStartMatchesOrBeatsScratchUnderFixedBudget) {
       << "warm start lost to scratch under an identical budget";
 }
 
-// Determinism: the warm rebuild is a pure function of its inputs, and the
-// worker count of the annealing pool must not leak into the result.
-TEST(WarmRebuild, BitIdenticalAcrossWorkerCounts) {
-  net::TopologyParams tp;
-  tp.node_count = 40;
-  tp.min_degree = 5;
-  Rng trng(31);
-  const net::Topology topo = net::make_topology(tp, trng);
-  BuilderParams params = small_builder();
-  params.annealing.batch_size = 4;
-
-  Rng r0(1);
-  const OverlaySet previous = build_overlay_set(topo.graph, params, r0);
-  std::vector<NodeId> churned;
-  for (NodeId v = 0; v < topo.graph.node_count() && churned.size() < 3; ++v) {
-    if (!previous.overlays.front().is_entry(v) &&
-        previous.overlays.front().depth(v) >= 2) {
-      churned.push_back(v);
-    }
-  }
-  ASSERT_EQ(churned.size(), 3u);
-
-  std::vector<Bytes> encodings;
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    params.annealing.workers = workers;
-    Rng r(7);
-    const OverlaySet warm =
-        build_overlay_set_warm(topo.graph, params, previous, churned, r);
-    Bytes all;
-    for (const Overlay& o : warm.overlays) {
-      const Bytes enc = encode_overlay(o);
-      all.insert(all.end(), enc.begin(), enc.end());
-    }
-    encodings.push_back(std::move(all));
-  }
-  EXPECT_EQ(encodings[0], encodings[1]);
-  EXPECT_EQ(encodings[0], encodings[2]);
-}
-
 // Interleaved join/leave churn: at every step the tree (with currently
 // departed nodes absent) keeps every survivor f+1-connected, and once all
 // nodes are back it passes full validation plus survives-removal of any
