@@ -51,24 +51,11 @@ std::optional<double> Graph::edge_latency(NodeId a, NodeId b) const {
 }
 
 std::vector<double> Graph::shortest_latencies(NodeId source) const {
-  HERMES_REQUIRE(source < adjacency_.size());
   std::vector<double> dist(adjacency_.size(), kInfLatency);
-  dist[source] = 0.0;
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v]) continue;
-    for (const Edge& e : adjacency_[v]) {
-      const double nd = d + e.latency_ms;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
+  settle_nearest(source, [&dist](NodeId v, double d) {
+    dist[v] = d;
+    return true;
+  });
   return dist;
 }
 

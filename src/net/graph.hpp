@@ -3,8 +3,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -44,6 +47,14 @@ class Graph {
   // Single-source shortest path latencies (Dijkstra). Unreachable nodes get
   // kInfLatency.
   std::vector<double> shortest_latencies(NodeId source) const;
+  // Dijkstra from `source` that calls visit(v, latency) for each reachable
+  // node as it settles, source first, and stops as soon as visit returns
+  // false. Latencies are non-decreasing over the calls; equal ones come in
+  // id order when every edge latency is positive. Each settled latency is
+  // the exact value shortest_latencies(source) holds for that node, so a
+  // caller that needs only the nearest nodes can stop early.
+  template <typename Visit>
+  void settle_nearest(NodeId source, Visit&& visit) const;
   // Hop distances (BFS). Unreachable nodes get SIZE_MAX.
   std::vector<std::size_t> hop_distances(NodeId source) const;
 
@@ -54,5 +65,28 @@ class Graph {
  private:
   std::vector<std::vector<Edge>> adjacency_;
 };
+
+template <typename Visit>
+void Graph::settle_nearest(NodeId source, Visit&& visit) const {
+  HERMES_REQUIRE(source < adjacency_.size());
+  std::vector<double> dist(adjacency_.size(), kInfLatency);
+  dist[source] = 0.0;
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  pq.emplace(0.0, source);
+  while (!pq.empty()) {
+    const auto [d, v] = pq.top();
+    pq.pop();
+    if (d > dist[v]) continue;
+    if (!visit(v, d)) return;
+    for (const Edge& e : adjacency_[v]) {
+      const double nd = d + e.latency_ms;
+      if (nd < dist[e.to]) {
+        dist[e.to] = nd;
+        pq.emplace(nd, e.to);
+      }
+    }
+  }
+}
 
 }  // namespace hermes::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <tuple>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -64,12 +65,38 @@ ObjectiveComponents components_from(const Overlay& o, const RankTable& ranks,
   return c;
 }
 
+// Logical-link fallback of the repair: the node nearest to v by
+// shortest-path latency among those `eligible` accepts, ties by (depth, id)
+// — the pick a scan of v's full shortest-path row in layer order makes.
+// The search stops at the first latency past the nearest eligible node's.
+// Returns {NodeId(-1), kInfLatency} when no eligible node is reachable.
+template <typename Eligible>
+std::pair<NodeId, double> nearest_logical(const Overlay& o,
+                                          const net::Graph& g, NodeId v,
+                                          Eligible eligible) {
+  NodeId best = net::NodeId(-1);
+  double best_cost = net::kInfLatency;
+  g.settle_nearest(v, [&](NodeId u, double dist) {
+    if (dist > best_cost) return false;
+    if (!eligible(u)) return true;
+    if (best == net::NodeId(-1) || o.depth(u) < o.depth(best) ||
+        (o.depth(u) == o.depth(best) && u < best)) {
+      best = u;
+    }
+    best_cost = dist;
+    return true;
+  });
+  return {best, best_cost};
+}
+
 // Repairs the overlay after a random move: every non-last-layer node gets
 // back to >= f+1 successors, every non-entry node to >= f+1 predecessors
 // (Algorithm 3 step 2, extended to predecessors which the delivery
-// guarantee needs).
-void repair_connectivity(IncrementalObjective& state,
-                         const LinkCostCache& costs, MoveDelta* delta) {
+// guarantee needs). Physical links come first; a logical link is searched
+// for only when some unlinked candidate is left but none is a physical
+// neighbor, so an exhausted layer costs no search.
+void repair_connectivity(IncrementalObjective& state, const net::Graph& g,
+                         MoveDelta* delta) {
   const Overlay& o = state.overlay();
   const std::size_t f = o.f();
   const auto& layer_list = state.layers();
@@ -82,25 +109,21 @@ void repair_connectivity(IncrementalObjective& state,
         // Cheapest next-layer node not already a successor.
         NodeId best = net::NodeId(-1);
         double best_cost = net::kInfLatency;
+        bool unlinked = false;
         for (NodeId c : layer_list[d + 1]) {
           if (o.has_link(v, c)) continue;
-          if (!costs.physical(v, c)) continue;
-          const double w = costs.cost(v, c);
-          if (w < best_cost) {
-            best_cost = w;
+          unlinked = true;
+          const auto w = g.edge_latency(v, c);
+          if (w && *w < best_cost) {
+            best_cost = *w;
             best = c;
           }
         }
-        if (best == net::NodeId(-1)) {
-          // No physical candidate left; fall back to a logical link.
-          for (NodeId c : layer_list[d + 1]) {
-            if (o.has_link(v, c)) continue;
-            const double w = costs.cost(v, c);
-            if (w < best_cost) {
-              best_cost = w;
-              best = c;
-            }
-          }
+        if (best == net::NodeId(-1) && unlinked) {
+          std::tie(best, best_cost) =
+              nearest_logical(o, g, v, [&](NodeId c) {
+                return o.depth(c) == d + 1 && !o.has_link(v, c);
+              });
         }
         if (best == net::NodeId(-1)) break;  // layer exhausted
         state.add_link(v, best, best_cost, delta);
@@ -113,31 +136,26 @@ void repair_connectivity(IncrementalObjective& state,
       while (o.predecessors(v).size() < f + 1) {
         NodeId best = net::NodeId(-1);
         double best_cost = net::kInfLatency;
+        bool unlinked = false;
         for (std::size_t pd = 1; pd < d; ++pd) {
           for (NodeId p : layer_list[pd]) {
             if (o.has_link(p, v)) continue;
-            if (!costs.physical(p, v)) continue;
-            const double w = costs.cost(p, v);
-            if (w < best_cost) {
-              best_cost = w;
+            unlinked = true;
+            const auto w = g.edge_latency(p, v);
+            if (w && *w < best_cost) {
+              best_cost = *w;
               best = p;
             }
           }
         }
-        if (best == net::NodeId(-1)) {
-          for (std::size_t pd = 1; pd < d; ++pd) {
-            for (NodeId p : layer_list[pd]) {
-              if (o.has_link(p, v)) continue;
-              // Physical latencies are symmetric; querying from v keeps the
-              // whole fallback scan on v's cached shortest-path row instead
-              // of one Dijkstra per parent candidate.
-              const double w = costs.cost(v, p);
-              if (w < best_cost) {
-                best_cost = w;
-                best = p;
-              }
-            }
-          }
+        if (best == net::NodeId(-1) && unlinked) {
+          // Physical latencies are symmetric, so searching from v prices
+          // every shallower candidate at once.
+          std::tie(best, best_cost) =
+              nearest_logical(o, g, v, [&](NodeId p) {
+                const std::size_t pd = o.depth(p);
+                return pd >= 1 && pd < d && !o.has_link(p, v);
+              });
         }
         if (best == net::NodeId(-1)) break;
         state.add_link(best, v, best_cost, delta);
@@ -150,7 +168,7 @@ void repair_connectivity(IncrementalObjective& state,
 // effective edit. The caller brackets this with begin_move()/
 // take_move_delta() and reverts the edits if it rejects the move.
 MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
-                        double mean, const LinkCostCache& costs, Rng& rng) {
+                        double mean, const net::Graph& g, Rng& rng) {
   MoveDelta delta;
   const Overlay& o = state.overlay();
   const auto& layer_list = state.layers();
@@ -182,14 +200,15 @@ MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
       const NodeId c =
           layer_list[d + 1][rng.uniform_u64(layer_list[d + 1].size())];
       if (o.has_link(p, c)) continue;
-      if (!costs.physical(p, c)) continue;
-      state.add_link(p, c, costs.cost(p, c), &delta);
+      const auto lat = g.edge_latency(p, c);
+      if (!lat) continue;
+      state.add_link(p, c, *lat, &delta);
       break;
     }
   }
 
   // --- Step 2: restore f+1 connectivity.
-  repair_connectivity(state, costs, &delta);
+  repair_connectivity(state, g, &delta);
 
   // --- Step 3: rank-penalty adjustment — nodes sitting near the root with
   // excess edges shed load; children with spare predecessors lose the link
@@ -416,17 +435,10 @@ void IncrementalObjective::revert(const MoveDelta& delta) {
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng) {
-  LinkCostCache costs(g);
-  return generate_neighbor(current, ranks, params, costs, rng);
-}
-
-Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
-                          const AnnealingParams& params,
-                          const LinkCostCache& costs, Rng& rng) {
   IncrementalObjective state(current, ranks, params.weights);
   const double current_value = state.value();
   state.begin_move();
-  generate_move(state, ranks, mean_rank(ranks), costs, rng);
+  generate_move(state, ranks, mean_rank(ranks), g, rng);
   state.flush();
   if (params.greedy_neighbor_filter && state.value() >= current_value) {
     return current;  // Algorithm 3 step 4: discard if no improvement
@@ -434,16 +446,21 @@ Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
   return state.overlay();
 }
 
-Overlay anneal(const Overlay& initial, const net::Graph& g,
-               const RankTable& ranks, const AnnealingParams& params,
-               Rng& rng) {
-  LinkCostCache costs(g);
-  return anneal(initial, ranks, params, rng, costs);
+Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
+                          const AnnealingParams& params,
+                          const LinkCostCache& costs, Rng& rng) {
+  return generate_neighbor(current, costs.graph(), ranks, params, rng);
 }
 
 Overlay anneal(const Overlay& initial, const RankTable& ranks,
                const AnnealingParams& params, Rng& rng,
                const LinkCostCache& costs) {
+  return anneal(initial, costs.graph(), ranks, params, rng);
+}
+
+Overlay anneal(const Overlay& initial, const net::Graph& g,
+               const RankTable& ranks, const AnnealingParams& params,
+               Rng& rng) {
   const std::size_t n = initial.node_count();
   if (n == 0) return initial;
 
@@ -467,7 +484,7 @@ Overlay anneal(const Overlay& initial, const RankTable& ranks,
       Rng round_rng = rng.fork(1);
       state.begin_move();
       const MoveDelta delta =
-          generate_move(state, ranks, mean, costs, round_rng);
+          generate_move(state, ranks, mean, g, round_rng);
       const ComponentDelta d = state.take_move_delta();
       if (delta.empty()) continue;
 

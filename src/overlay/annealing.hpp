@@ -26,6 +26,7 @@
 // sequence of in-place moves on a single IncrementalObjective: each round
 // makes a move, scores it from its ComponentDelta, keeps it if accepted and
 // reverts it otherwise. The result is bit-identical for a fixed seed.
+// Logical-link repairs search only as far as the nearest eligible node.
 #pragma once
 
 #include <cstdint>
@@ -64,15 +65,16 @@ struct AnnealingParams {
 };
 
 // Lazily caches single-source shortest-path latencies of the physical
-// graph, so logical-link costs stay cheap inside the annealing loop.
-// Thread-safe: one instance is shared across all k trees of
+// graph for the logical join costs of attach_node_locally (join.hpp). The
+// annealer and the robust-tree build read only graph(): their logical-link
+// fallbacks run early-exit searches (net::Graph::settle_nearest) and fill
+// no rows. Thread-safe: one instance is shared across all k trees of
 // build_overlay_set and across epochs. Rows are immutable once computed.
 class LinkCostCache {
  public:
   explicit LinkCostCache(const net::Graph& g) : g_(g) {}
 
   double cost(NodeId a, NodeId b) const;
-  bool physical(NodeId a, NodeId b) const { return g_.has_edge(a, b); }
   const net::Graph& graph() const { return g_; }
 
  private:
@@ -195,8 +197,8 @@ ObjectiveComponents objective_components(const Overlay& o,
 // nodes' excess links toward higher-rank, deeper nodes. Added edges use
 // physical links of G only; the repair falls back to a logical link at
 // shortest-path latency when no physical candidate is left (same rule as
-// robust-tree integration). The overload with a LinkCostCache reuses the
-// caller's cache instead of rebuilding one per call.
+// robust-tree integration). The overload with a LinkCostCache uses only
+// its graph.
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng);
@@ -205,8 +207,7 @@ Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
                           const LinkCostCache& costs, Rng& rng);
 
 // Algorithm 2: returns the best overlay found. Deterministic for a fixed
-// seed. The overload taking a LinkCostCache shares it across calls
-// (build_overlay_set uses one for all k trees).
+// seed. The overload taking a LinkCostCache uses only its graph.
 Overlay anneal(const Overlay& initial, const net::Graph& g,
                const RankTable& ranks, const AnnealingParams& params, Rng& rng);
 Overlay anneal(const Overlay& initial, const RankTable& ranks,

@@ -102,7 +102,21 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
     }
   }
 
+  // Every placed, reachable node with a finite link cost, in id order. A
+  // parent's cost does not depend on the candidate depth, so one pass
+  // prices it for all of them.
   std::vector<double> sp_cache;  // lazily filled single-source row
+  std::vector<Candidate> parents;
+  for (NodeId p = 0; p < o.node_count(); ++p) {
+    if (o.depth(p) == 0) continue;  // unplaced, the joiner included
+    if (arrival[p] >= net::kInfLatency) continue;  // unreachable parent
+    Candidate c;
+    c.id = p;
+    c.overloaded = o.successors(p).size() >= cap;
+    c.cost = link_cost(g, p, joiner, allow_logical, costs, &sp_cache);
+    if (c.cost >= net::kInfLatency) continue;
+    parents.push_back(c);
+  }
 
   // Candidate predecessors at depth d are all placed nodes shallower than
   // d. Depths are tried shallow-to-deep; ties on the objective delta keep
@@ -115,17 +129,8 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
   std::vector<Candidate> pool;
   for (std::size_t d = 2; d <= deepest + 1; ++d) {
     pool.clear();
-    for (NodeId p = 0; p < o.node_count(); ++p) {
-      if (p == joiner) continue;
-      const std::size_t pd = o.depth(p);
-      if (pd == 0 || pd >= d) continue;
-      if (arrival[p] >= net::kInfLatency) continue;  // unreachable parent
-      Candidate c;
-      c.id = p;
-      c.overloaded = o.successors(p).size() >= cap;
-      c.cost = link_cost(g, p, joiner, allow_logical, costs, &sp_cache);
-      if (c.cost >= net::kInfLatency) continue;
-      pool.push_back(c);
+    for (const Candidate& c : parents) {
+      if (o.depth(c.id) < d) pool.push_back(c);
     }
     if (pool.size() < need) continue;
     std::sort(pool.begin(), pool.end());

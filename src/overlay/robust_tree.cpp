@@ -124,17 +124,24 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
     if (chosen.size() < f + 1) {
       if (!allow_logical) return false;
       // Logical links over multi-hop paths: nearest placed nodes by
-      // physical shortest-path latency.
-      const auto dist = g.shortest_latencies(v);
+      // physical shortest-path latency. The search stops once the missing
+      // links are covered and every node tied with the last one has
+      // settled, so the (latency, id) order below picks what a full row
+      // would.
+      const std::size_t missing = f + 1 - chosen.size();
+      double cutoff = net::kInfLatency;
       std::vector<Candidate> logical;
-      for (NodeId u = 0; u < n; ++u) {
-        if (!placed[u] || u == v) continue;
+      g.settle_nearest(v, [&](NodeId u, double dist) {
+        if (dist > cutoff) return false;
+        if (!placed[u] || u == v) return true;
         const bool already = std::any_of(
             chosen.begin(), chosen.end(),
             [u](const auto& cu) { return cu.first == u; });
-        if (already || dist[u] == net::kInfLatency) continue;
-        logical.push_back({u, ranks[u], dist[u]});
-      }
+        if (already) return true;
+        logical.push_back({u, ranks[u], dist});
+        if (logical.size() == missing) cutoff = dist;
+        return true;
+      });
       std::sort(logical.begin(), logical.end(),
                 [](const Candidate& a, const Candidate& b) {
                   return a.latency < b.latency ||

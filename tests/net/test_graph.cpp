@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "support/rng.hpp"
+
 namespace hermes::net {
 namespace {
 
@@ -65,6 +72,136 @@ TEST(Graph, DijkstraUnreachable) {
   g.add_edge(0, 1, 1.0);
   const auto dist = g.shortest_latencies(0);
   EXPECT_EQ(dist[2], kInfLatency);
+}
+
+// Random graph with n nodes and about 3n edges. Integer latencies in 1..4
+// make equal-latency ties common; `components` > 1 splits the ids into
+// that many blocks with no edge between them.
+Graph random_graph(std::uint64_t seed, std::size_t n, bool integer_latencies,
+                   std::size_t components = 1) {
+  Rng rng(seed);
+  Graph g(n);
+  const std::size_t block = (n + components - 1) / components;
+  for (std::size_t i = 0; i < 3 * n; ++i) {
+    const auto a = static_cast<NodeId>(rng.uniform_u64(n));
+    const std::size_t base = a / block * block;
+    const std::size_t width = std::min(block, n - base);
+    const auto b = static_cast<NodeId>(base + rng.uniform_u64(width));
+    if (a == b) continue;
+    const double latency =
+        integer_latencies ? static_cast<double>(1 + rng.uniform_u64(4))
+                          : rng.uniform_real(0.5, 80.0);
+    g.add_edge(a, b, latency);
+  }
+  return g;
+}
+
+// Independent reference: Bellman-Ford relaxation to a fixed point.
+std::vector<double> bellman_ford(const Graph& g, NodeId source) {
+  std::vector<double> dist(g.node_count(), kInfLatency);
+  dist[source] = 0.0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (dist[v] == kInfLatency) continue;
+      for (const Edge& e : g.neighbors(v)) {
+        if (dist[v] + e.latency_ms < dist[e.to]) {
+          dist[e.to] = dist[v] + e.latency_ms;
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+std::vector<std::pair<NodeId, double>> settle_all(const Graph& g,
+                                                  NodeId source,
+                                                  std::size_t limit = SIZE_MAX) {
+  std::vector<std::pair<NodeId, double>> out;
+  g.settle_nearest(source, [&](NodeId v, double d) {
+    out.emplace_back(v, d);
+    return out.size() < limit;
+  });
+  return out;
+}
+
+struct SearchCase {
+  std::uint64_t seed;
+  std::size_t nodes;
+  bool integer_latencies;
+  std::size_t components;
+};
+
+const SearchCase kSearchCases[] = {
+    {1, 60, true, 1},  {2, 60, false, 1}, {3, 90, true, 1},
+    {4, 90, false, 1}, {5, 80, true, 3},  {6, 80, false, 2},
+};
+
+TEST(Graph, SettleNearestVisitsShortestLatenciesExactly) {
+  for (const SearchCase& c : kSearchCases) {
+    const Graph g =
+        random_graph(c.seed, c.nodes, c.integer_latencies, c.components);
+    for (NodeId source = 0; source < c.nodes; source += 7) {
+      const auto full = g.shortest_latencies(source);
+      const auto reference = bellman_ford(g, source);
+      for (NodeId v = 0; v < c.nodes; ++v) {
+        if (reference[v] == kInfLatency) {
+          EXPECT_EQ(full[v], kInfLatency);
+        } else {
+          EXPECT_NEAR(full[v], reference[v], 1e-9);
+        }
+      }
+      const auto visits = settle_all(g, source);
+      std::vector<bool> seen(c.nodes, false);
+      for (const auto& [v, d] : visits) {
+        ASSERT_FALSE(seen[v]) << "seed " << c.seed << ": node " << v
+                              << " settled twice";
+        seen[v] = true;
+        EXPECT_EQ(d, full[v]) << "seed " << c.seed << " source " << source;
+      }
+      for (NodeId v = 0; v < c.nodes; ++v) {
+        EXPECT_EQ(seen[v], full[v] != kInfLatency)
+            << "seed " << c.seed << " source " << source << " node " << v;
+      }
+      ASSERT_FALSE(visits.empty());
+      EXPECT_EQ(visits.front().first, source);
+    }
+  }
+}
+
+TEST(Graph, SettleNearestOrdersByLatencyThenId) {
+  for (const SearchCase& c : kSearchCases) {
+    const Graph g =
+        random_graph(c.seed, c.nodes, c.integer_latencies, c.components);
+    for (NodeId source = 0; source < c.nodes; source += 5) {
+      const auto visits = settle_all(g, source);
+      for (std::size_t i = 1; i < visits.size(); ++i) {
+        EXPECT_LT(std::make_pair(visits[i - 1].second, visits[i - 1].first),
+                  std::make_pair(visits[i].second, visits[i].first))
+            << "seed " << c.seed << " source " << source << " at " << i;
+      }
+    }
+  }
+}
+
+TEST(Graph, SettleNearestStoppedEarlyIsAPrefix) {
+  for (const SearchCase& c : kSearchCases) {
+    const Graph g =
+        random_graph(c.seed, c.nodes, c.integer_latencies, c.components);
+    for (NodeId source = 0; source < c.nodes; source += 11) {
+      const auto full = settle_all(g, source);
+      for (std::size_t limit : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                full.size() / 2, full.size()}) {
+        if (limit == 0 || limit > full.size()) continue;
+        const auto prefix = settle_all(g, source, limit);
+        ASSERT_EQ(prefix.size(), limit);
+        EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), full.begin()))
+            << "seed " << c.seed << " source " << source << " limit "
+            << limit;
+      }
+    }
+  }
 }
 
 TEST(Graph, HopDistances) {

@@ -193,7 +193,11 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedBuild{200, 2,
                     "6da3c1dc8ff29dac8f79d38b98864320a5aec00f1b8149e69fef3c3907624661"},
         PinnedBuild{200, 3,
-                    "fce960ce2f1b48c0c170409000e1673f1ad4498f3abff77b73d348b10d539a4c"}),
+                    "fce960ce2f1b48c0c170409000e1673f1ad4498f3abff77b73d348b10d539a4c"},
+        PinnedBuild{2000, 1,
+                    "6694f31b79ec22ca5e3556630160905502746d78490e389b15d7e5aac6d5ceef"},
+        PinnedBuild{2000, 2,
+                    "d8dd27a4df529b7251322eedcbdcc17b940ba3c61d8e6cdd31fe3314c77693f6"}),
     [](const ::testing::TestParamInfo<PinnedBuild>& info) {
       return "n" + std::to_string(info.param.nodes) + "_seed" +
              std::to_string(info.param.seed);
