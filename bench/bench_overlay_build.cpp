@@ -47,6 +47,35 @@ void BM_OverlaySetBuildK10(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlaySetBuildK10)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond);
 
+// One epoch-pipeline rebuild: k=3 trees re-seeded from the previous
+// generation after 8 nodes churn (detach, local repair, re-attach), then
+// re-annealed. Join placement prices logical links from the joiner's row.
+void BM_OverlaySetWarmRebuild(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const net::Topology topo = bench::make_bench_topology(n, 42);
+  overlay::BuilderParams params;
+  params.f = 1;
+  params.k = 3;
+  params.annealing = bench::bench_hermes_config().builder.annealing;
+  Rng r0(7);
+  const overlay::OverlaySet previous =
+      overlay::build_overlay_set(topo.graph, params, r0);
+  const overlay::Overlay& first = previous.overlays.front();
+  std::vector<net::NodeId> churned;
+  for (net::NodeId v = 0; v < n && churned.size() < 8; ++v) {
+    if (!first.is_entry(v) && first.depth(v) >= 2) churned.push_back(v);
+  }
+  for (auto _ : state) {
+    Rng rng(8);
+    benchmark::DoNotOptimize(overlay::build_overlay_set_warm(
+        topo.graph, params, previous, churned, rng));
+  }
+}
+BENCHMARK(BM_OverlaySetWarmRebuild)
+    ->Arg(1000)
+    ->Arg(3000)
+    ->Unit(benchmark::kMillisecond);
+
 // One annealing pass as build_overlay_set runs it. Logical-link repairs run
 // early-exit searches on the graph, so there is no per-call cache to warm.
 void BM_SimulatedAnnealingPass(benchmark::State& state) {
@@ -59,11 +88,10 @@ void BM_SimulatedAnnealingPass(benchmark::State& state) {
       overlay::build_robust_tree(topo.graph, tree_params, ranks);
   const overlay::AnnealingParams params =
       bench::bench_hermes_config().builder.annealing;
-  overlay::LinkCostCache costs(topo.graph);
   for (auto _ : state) {
     Rng rng(9);
     benchmark::DoNotOptimize(
-        overlay::anneal(tree, ranks, params, rng, costs));
+        overlay::anneal(tree, topo.graph, ranks, params, rng));
   }
 }
 BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);

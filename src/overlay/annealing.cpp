@@ -235,19 +235,6 @@ MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
 
 }  // namespace
 
-double LinkCostCache::cost(NodeId a, NodeId b) const {
-  if (const auto lat = g_.edge_latency(a, b)) return *lat;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(a);
-  if (it == cache_.end()) {
-    it = cache_
-             .emplace(a, std::make_unique<const std::vector<double>>(
-                             g_.shortest_latencies(a)))
-             .first;
-  }
-  return (*it->second)[b];
-}
-
 double ObjectiveComponents::value(std::size_t node_count,
                                   const ObjectiveWeights& w) const {
   if (node_count == 0) return 0.0;
@@ -444,18 +431,6 @@ Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
     return current;  // Algorithm 3 step 4: discard if no improvement
   }
   return state.overlay();
-}
-
-Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
-                          const AnnealingParams& params,
-                          const LinkCostCache& costs, Rng& rng) {
-  return generate_neighbor(current, costs.graph(), ranks, params, rng);
-}
-
-Overlay anneal(const Overlay& initial, const RankTable& ranks,
-               const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs) {
-  return anneal(initial, costs.graph(), ranks, params, rng);
 }
 
 Overlay anneal(const Overlay& initial, const net::Graph& g,

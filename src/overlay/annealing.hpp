@@ -30,16 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "net/graph.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/robust_tree.hpp"
 #include "support/rng.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace hermes::overlay {
 
@@ -62,26 +58,6 @@ struct AnnealingParams {
   // default keeps the standard SA accept rule of Algorithm 2.
   bool greedy_neighbor_filter = false;
   ObjectiveWeights weights;
-};
-
-// Lazily caches single-source shortest-path latencies of the physical
-// graph for the logical join costs of attach_node_locally (join.hpp). The
-// annealer and the robust-tree build read only graph(): their logical-link
-// fallbacks run early-exit searches (net::Graph::settle_nearest) and fill
-// no rows. Thread-safe: one instance is shared across all k trees of
-// build_overlay_set and across epochs. Rows are immutable once computed.
-class LinkCostCache {
- public:
-  explicit LinkCostCache(const net::Graph& g) : g_(g) {}
-
-  double cost(NodeId a, NodeId b) const;
-  const net::Graph& graph() const { return g_; }
-
- private:
-  const net::Graph& g_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<NodeId, std::unique_ptr<const std::vector<double>>>
-      cache_ HERMES_GUARDED_BY(mu_);
 };
 
 // One candidate move as an apply/undo edit list. Ops are recorded in the
@@ -197,21 +173,14 @@ ObjectiveComponents objective_components(const Overlay& o,
 // nodes' excess links toward higher-rank, deeper nodes. Added edges use
 // physical links of G only; the repair falls back to a logical link at
 // shortest-path latency when no physical candidate is left (same rule as
-// robust-tree integration). The overload with a LinkCostCache uses only
-// its graph.
+// robust-tree integration).
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng);
-Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
-                          const AnnealingParams& params,
-                          const LinkCostCache& costs, Rng& rng);
 
 // Algorithm 2: returns the best overlay found. Deterministic for a fixed
-// seed. The overload taking a LinkCostCache uses only its graph.
+// seed.
 Overlay anneal(const Overlay& initial, const net::Graph& g,
                const RankTable& ranks, const AnnealingParams& params, Rng& rng);
-Overlay anneal(const Overlay& initial, const RankTable& ranks,
-               const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs);
 
 }  // namespace hermes::overlay

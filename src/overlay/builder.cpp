@@ -10,30 +10,14 @@ namespace hermes::overlay {
 
 namespace {
 
-// Shared per-build state: the cost cache, external when the caller owns
-// one across epochs.
-struct BuildContext {
-  const LinkCostCache* costs = nullptr;
-  std::optional<LinkCostCache> owned_costs;
-
-  BuildContext(const net::Graph& g, const LinkCostCache* external) {
-    if (external != nullptr) {
-      costs = external;
-    } else {
-      owned_costs.emplace(g);
-      costs = &*owned_costs;
-    }
-  }
-};
-
 // The shared per-tree tail of both build paths: anneal the seed tree and
 // fold its optimized depths into the accumulated rank table.
 void optimize_and_rank(Overlay&& tree, std::size_t l, const net::Graph& g,
                        const BuilderParams& params, const RankTable& before,
-                       OverlaySet& set, Rng& rng, const BuildContext& ctx) {
+                       OverlaySet& set, Rng& rng) {
   if (params.optimize) {
     Rng anneal_rng = rng.fork(0x5eedl + l);
-    tree = anneal(tree, before, params.annealing, anneal_rng, *ctx.costs);
+    tree = anneal(tree, g, before, params.annealing, anneal_rng);
     // Re-derive the rank contribution (root proximity, see robust_tree.cpp)
     // from the optimized depths.
     const double max_depth = static_cast<double>(tree.max_depth());
@@ -59,20 +43,17 @@ RankTable rank_snapshot(const BuilderParams& params, OverlaySet& set) {
 }  // namespace
 
 OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
-                             Rng& rng, const LinkCostCache* costs) {
+                             Rng& rng) {
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
 
-  RobustTreeParams tree_params = params.tree;
-  tree_params.f = params.f;
-
-  BuildContext ctx(g, costs);
+  const RobustTreeParams tree_params{params.f};
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
     Overlay tree = build_robust_tree(g, tree_params, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng, ctx);
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng);
   }
   return set;
 }
@@ -80,16 +61,13 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,
-                                  const std::vector<NodeId>& churned, Rng& rng,
-                                  const LinkCostCache* costs) {
+                                  const std::vector<NodeId>& churned,
+                                  Rng& rng) {
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
 
-  RobustTreeParams tree_params = params.tree;
-  tree_params.f = params.f;
-
-  BuildContext ctx(g, costs);
+  const RobustTreeParams tree_params{params.f};
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
@@ -112,9 +90,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
       }
       if (ok) {
         for (NodeId v : churned) {
-          if (!attach_node_locally(warm, v, g, /*allow_logical=*/true,
-                                   ctx.costs, params.annealing.weights)
-                   .ok) {
+          if (!attach_node_locally(warm, v, g, params.annealing.weights).ok) {
             ok = false;
             break;
           }
@@ -124,7 +100,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
     }
     Overlay tree = seed ? std::move(*seed)
                         : build_robust_tree(g, tree_params, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng, ctx);
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng);
   }
   return set;
 }

@@ -21,7 +21,6 @@ struct BuilderParams {
   // freezes ranks at zero — every tree elects the same entry points
   // (ablation bench only; real deployments keep this on).
   bool rotate_roles = true;
-  RobustTreeParams tree;
   AnnealingParams annealing;
 };
 
@@ -32,12 +31,10 @@ struct OverlaySet {
 
 // Builds k robust trees with shared rank accounting, annealing each before
 // the next tree's ranks are computed (Algorithm 1 line 25: optimize, then
-// move on). Deterministic given the rng seed. Passing `costs` (built over
-// the same graph) reuses the caller's shortest-path cache across calls —
-// the physical graph does not change between epochs, so re-deriving the
-// pairwise rows on every rebuild is pure waste.
+// move on). Deterministic given the rng seed; keeps no state between
+// calls.
 OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
-                             Rng& rng, const LinkCostCache* costs = nullptr);
+                             Rng& rng);
 
 // Warm-started rebuild: instead of growing each tree from scratch, seed
 // tree l with the previous epoch's tree l after surgically detaching and
@@ -50,7 +47,7 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,
-                                  const std::vector<NodeId>& churned, Rng& rng,
-                                  const LinkCostCache* costs = nullptr);
+                                  const std::vector<NodeId>& churned,
+                                  Rng& rng);
 
 }  // namespace hermes::overlay

@@ -5,21 +5,11 @@
 #include <limits>
 #include <vector>
 
+#include "overlay/link_cost.hpp"
+
 namespace hermes::overlay {
 
 namespace {
-
-// Cheapest link cost from p to v: physical edge, else shortest path (same
-// preference order as repair.cpp). The single-source row is computed from
-// the joiner's side at most once per call when no shared cache is passed.
-double link_cost(const net::Graph& g, NodeId p, NodeId v, bool allow_logical,
-                 const LinkCostCache* costs, std::vector<double>* sp_cache) {
-  if (const auto lat = g.edge_latency(p, v)) return *lat;
-  if (!allow_logical) return net::kInfLatency;
-  if (costs != nullptr) return costs->cost(p, v);
-  if (sp_cache->empty()) *sp_cache = g.shortest_latencies(v);
-  return (*sp_cache)[p];
-}
 
 struct Candidate {
   bool overloaded = false;
@@ -41,8 +31,6 @@ std::size_t join_out_degree_cap(std::size_t f) {
 
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
-                                        bool allow_logical,
-                                        const LinkCostCache* costs,
                                         const ObjectiveWeights& weights,
                                         MoveDelta* delta) {
   JoinPlacementResult result;
@@ -105,7 +93,7 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
   // Every placed, reachable node with a finite link cost, in id order. A
   // parent's cost does not depend on the candidate depth, so one pass
   // prices it for all of them.
-  std::vector<double> sp_cache;  // lazily filled single-source row
+  ChildLinkCosts costs(g, joiner);
   std::vector<Candidate> parents;
   for (NodeId p = 0; p < o.node_count(); ++p) {
     if (o.depth(p) == 0) continue;  // unplaced, the joiner included
@@ -113,7 +101,7 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
     Candidate c;
     c.id = p;
     c.overloaded = o.successors(p).size() >= cap;
-    c.cost = link_cost(g, p, joiner, allow_logical, costs, &sp_cache);
+    c.cost = costs.from(p);
     if (c.cost >= net::kInfLatency) continue;
     parents.push_back(c);
   }

@@ -1,31 +1,12 @@
 #include "overlay/repair.hpp"
 
-#include <algorithm>
-
+#include "overlay/link_cost.hpp"
 #include "support/assert.hpp"
 
 namespace hermes::overlay {
 
-namespace {
-
-// Cheapest link cost from p to v: physical edge, else shortest path.
-double link_cost(const net::Graph& g, NodeId p, NodeId v, bool allow_logical,
-                 std::vector<double>* sp_cache, bool* is_logical) {
-  if (const auto lat = g.edge_latency(p, v)) {
-    *is_logical = false;
-    return *lat;
-  }
-  if (!allow_logical) return net::kInfLatency;
-  if (sp_cache->empty()) *sp_cache = g.shortest_latencies(v);
-  *is_logical = true;
-  return (*sp_cache)[p];
-}
-
-}  // namespace
-
 LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
-                                      const net::Graph& g,
-                                      bool allow_logical) {
+                                      const net::Graph& g) {
   LocalRepairResult result;
   const std::size_t f = o.f();
   Overlay backup = o;
@@ -84,16 +65,14 @@ LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
   const auto layers = o.layers();
   for (std::size_t d = 2; d < layers.size(); ++d) {
     for (NodeId v : layers[d]) {
+      ChildLinkCosts costs(g, v);
       while (o.predecessors(v).size() < f + 1) {
         NodeId best = net::NodeId(-1);
         double best_cost = net::kInfLatency;
-        std::vector<double> sp_cache;
         for (std::size_t pd = 1; pd < d; ++pd) {
           for (NodeId p : layers[pd]) {
             if (p == departed || p == v || o.has_link(p, v)) continue;
-            bool is_logical = false;
-            const double cost =
-                link_cost(g, p, v, allow_logical, &sp_cache, &is_logical);
+            const double cost = costs.from(p);
             if (cost < best_cost) {
               best_cost = cost;
               best = p;
@@ -116,9 +95,6 @@ LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
 
 std::vector<std::string> validate_with_absent(const Overlay& o,
                                               std::span<const NodeId> absent) {
-  auto is_absent = [&](NodeId v) {
-    return std::find(absent.begin(), absent.end(), v) != absent.end();
-  };
   std::vector<std::string> errors;
   for (const std::string& error : o.validate()) {
     // Filter complaints that only concern absent nodes ("node <id> ...").
@@ -138,7 +114,6 @@ std::vector<std::string> validate_with_absent(const Overlay& o,
       errors.push_back("absent node " + std::to_string(v) + " still linked");
     }
   }
-  (void)is_absent;
   return errors;
 }
 

@@ -173,12 +173,10 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
       if (attach(c.node, /*allow_logical=*/false)) progress = true;
     }
   }
-  if (params.allow_logical_links) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!placed[v]) {
-        const bool ok = attach(v, /*allow_logical=*/true);
-        HERMES_REQUIRE(ok && "physical graph too disconnected to integrate node");
-      }
+  for (NodeId v = 0; v < n; ++v) {
+    if (!placed[v]) {
+      const bool ok = attach(v, /*allow_logical=*/true);
+      HERMES_REQUIRE(ok && "physical graph too disconnected to integrate node");
     }
   }
 

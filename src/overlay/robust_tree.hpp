@@ -4,7 +4,10 @@
 // accumulated rank (and lowest latency to their neighbors), the builder
 // grows layers where each new node is physically connected to ALL nodes of
 // the previous layer, doubling the layer budget (2^d * (f+1)) until no node
-// fits the pattern. Remaining nodes are then integrated with f+1 links each.
+// fits the pattern. Remaining nodes are then integrated with f+1 links each:
+// physical edges first, then "logical" links that ride multi-hop physical
+// paths at their shortest-path latency (the paper assumes the network is
+// connected enough that these are rare).
 // Accumulated ranks are updated with each node's depth so that subsequent
 // trees rotate the near-root roles (Section V-B, role balancing).
 #pragma once
@@ -19,11 +22,6 @@ namespace hermes::overlay {
 
 struct RobustTreeParams {
   std::size_t f = 1;
-  // When a remaining node lacks f+1 physical edges into the overlay, allow
-  // "logical" links that ride multi-hop physical paths; their latency is
-  // the physical shortest-path latency. The paper assumes the network is
-  // connected enough that this is rare.
-  bool allow_logical_links = true;
 };
 
 // Accumulated rank per node across previously built overlays (rank(v) in

@@ -233,26 +233,6 @@ TEST(GenerateNeighbor, PreservesValidity) {
   }
 }
 
-TEST(GenerateNeighbor, SharedCacheMatchesPerCallCache) {
-  // The LinkCostCache overload must behave identically to the convenience
-  // overload that rebuilds the cache internally (cost rows are pure
-  // functions of the physical graph).
-  AnnealFixture s = make_setup();
-  const AnnealingParams params = fast_params();
-  LinkCostCache costs(s.topo.graph);
-  Rng r1(3), r2(3);
-  Overlay a = s.tree;
-  Overlay b = s.tree;
-  for (int i = 0; i < 20; ++i) {
-    a = generate_neighbor(a, s.topo.graph, s.ranks, params, r1);
-    b = generate_neighbor(b, s.ranks, params, costs, r2);
-    for (net::NodeId v = 0; v < a.node_count(); ++v) {
-      ASSERT_EQ(a.successors(v), b.successors(v)) << "iteration " << i;
-    }
-    ASSERT_TRUE(b.is_valid());
-  }
-}
-
 TEST(Anneal, NeverWorseThanInitial) {
   AnnealFixture s = make_setup();
   Rng rng(4);
@@ -306,21 +286,6 @@ TEST(Anneal, GreedyNeighborFilterMode) {
   const Overlay optimized = anneal(s.tree, s.topo.graph, s.ranks, params, rng);
   EXPECT_LE(objective_value(optimized, s.ranks, params.weights), initial);
   EXPECT_TRUE(optimized.is_valid());
-}
-
-TEST(Anneal, SharedPoolAndCacheMatchOwnedOnes) {
-  // build_overlay_set hands anneal() a shared cache; it may not change the
-  // result vs. the self-contained overload.
-  AnnealFixture s = make_setup();
-  const AnnealingParams params = fast_params();
-  Rng r1(13), r2(13);
-  const Overlay own = anneal(s.tree, s.topo.graph, s.ranks, params, r1);
-  LinkCostCache costs(s.topo.graph);
-  const Overlay shared = anneal(s.tree, s.ranks, params, r2, costs);
-  ASSERT_EQ(own.edge_count(), shared.edge_count());
-  for (net::NodeId v = 0; v < own.node_count(); ++v) {
-    ASSERT_EQ(own.successors(v), shared.successors(v));
-  }
 }
 
 TEST(Anneal, DeterministicGivenSeed) {

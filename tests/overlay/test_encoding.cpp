@@ -203,26 +203,36 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
-// The warm-started rebuild of the epoch pipeline: three nodes churn out of
-// the first generation and the next one is re-annealed from it.
-TEST(PinnedOverlayEncodingWarm, BuildOverlaySetWarmDigestIsUnchanged) {
-  const net::Topology topo = pinned_topology(100, 1);
+// The warm-started rebuild of the epoch pipeline: `churn` nodes churn out
+// of the first generation and the next one is re-annealed from it. The
+// re-attachments price logical links through join placement.
+std::string warm_rebuild_digest(std::size_t nodes, std::size_t churn) {
+  const net::Topology topo = pinned_topology(nodes, 1);
   const BuilderParams params = pinned_builder();
   Rng r0(2);
   const OverlaySet previous = build_overlay_set(topo.graph, params, r0);
   std::vector<NodeId> churned;
-  for (NodeId v = 0; v < topo.graph.node_count() && churned.size() < 3; ++v) {
+  for (NodeId v = 0; v < topo.graph.node_count() && churned.size() < churn;
+       ++v) {
     if (!previous.overlays.front().is_entry(v) &&
         previous.overlays.front().depth(v) >= 2) {
       churned.push_back(v);
     }
   }
-  ASSERT_EQ(churned.size(), 3u);
+  EXPECT_EQ(churned.size(), churn);
   Rng r1(3);
-  const OverlaySet warm =
-      build_overlay_set_warm(topo.graph, params, previous, churned, r1);
-  EXPECT_EQ(set_digest(warm),
+  return set_digest(
+      build_overlay_set_warm(topo.graph, params, previous, churned, r1));
+}
+
+TEST(PinnedOverlayEncodingWarm, BuildOverlaySetWarmDigestIsUnchanged) {
+  EXPECT_EQ(warm_rebuild_digest(100, 3),
             "f8bb1a58d9ed145234a87fc34c6514a8a21bd1b5d63c734c476d3c56fcd4c172");
+}
+
+TEST(PinnedOverlayEncodingWarm, BuildOverlaySetWarmDigestIsUnchangedAtN2000) {
+  EXPECT_EQ(warm_rebuild_digest(2000, 8),
+            "a670591d50d1d3fe7236eb048c70c5f54ba2f1684ef8e651187cf5afa261fdf3");
 }
 
 }  // namespace

@@ -81,18 +81,34 @@ TEST(JoinPlacement, AttachRestoresFullValidity) {
 
 TEST(JoinPlacement, AttachIsAPureFunctionOfTheBaseTree) {
   JoinFixture fx = make_fixture(60, 1, 7);
-  const NodeId joiner = detachable_node(fx);
-  ASSERT_NE(joiner, net::NodeId(-1));
-  ASSERT_TRUE(remove_node_locally(fx.tree, joiner, fx.topo.graph).ok);
+  std::size_t logical = 0;
+  for (NodeId joiner = 0; joiner < fx.tree.node_count(); ++joiner) {
+    if (fx.tree.is_entry(joiner) || fx.tree.depth(joiner) < 2) continue;
+    Overlay base = fx.tree;
+    if (!remove_node_locally(base, joiner, fx.topo.graph).ok) continue;
 
-  Overlay a = fx.tree;
-  Overlay b = fx.tree;
-  // One replica resolves link costs through the shared cache, the other
-  // through per-call Dijkstra rows: the placement must not depend on it.
-  const LinkCostCache costs(fx.topo.graph);
-  ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph, true, &costs).ok);
-  ASSERT_TRUE(attach_node_locally(b, joiner, fx.topo.graph).ok);
-  EXPECT_EQ(encode_overlay(a), encode_overlay(b));
+    // Two replicas joining on the same base converge byte-identically.
+    Overlay a = base;
+    Overlay b = base;
+    ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph).ok);
+    ASSERT_TRUE(attach_node_locally(b, joiner, fx.topo.graph).ok);
+    EXPECT_EQ(encode_overlay(a), encode_overlay(b)) << "joiner " << joiner;
+
+    // Every added link carries the one pricing rule: the physical edge's
+    // latency, else the shortest-path latency read from the joiner's row,
+    // bit for bit.
+    const std::vector<double> row = fx.topo.graph.shortest_latencies(joiner);
+    for (NodeId p : a.predecessors(joiner)) {
+      const double lat = a.link_latency(p, joiner);
+      if (const auto edge = fx.topo.graph.edge_latency(p, joiner)) {
+        EXPECT_EQ(lat, *edge) << p << " -> " << joiner;
+      } else {
+        EXPECT_EQ(lat, row[p]) << p << " -> " << joiner;
+        ++logical;
+      }
+    }
+  }
+  EXPECT_GT(logical, 0u);  // the logical branch was exercised
 }
 
 // The admission layer applies joins in canonical ascending-id order
@@ -146,8 +162,8 @@ TEST(JoinPlacement, IncrementalPlacementStaysNearAnnealedObjective) {
   }();
   ASSERT_NE(joiner, net::NodeId(-1));
   ASSERT_TRUE(remove_node_locally(annealed, joiner, fx.topo.graph).ok);
-  const auto result = attach_node_locally(annealed, joiner, fx.topo.graph,
-                                          true, nullptr, ap.weights);
+  const auto result =
+      attach_node_locally(annealed, joiner, fx.topo.graph, ap.weights);
   ASSERT_TRUE(result.ok);
   const double v_incremental = objective_value(annealed, ranks, ap.weights);
   EXPECT_LT(v_incremental, v_annealed * 1.15)

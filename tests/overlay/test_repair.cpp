@@ -176,10 +176,11 @@ TEST(LocalRepair, TinyOverlaySucceedsByPromotion) {
 }
 
 TEST(LocalRepair, FailureLeavesOverlayUntouched) {
-  // Physical-links-only repair with no spare edges: entries {0,1},
-  // children {2,3} each wired to both entries and to nothing else. After
-  // entry 0 departs and one child is promoted, the other child cannot find
-  // a second physical predecessor.
+  // A repair no link can fix, physical or logical: entries {0,1}, children
+  // {2,3} each linked to both entries in the overlay, but the physical
+  // graph has two components, {0,3} and {1,2}. After entry 0 departs, child
+  // 3 is promoted; child 2 then needs a second predecessor, and its only
+  // candidate, 3, has no physical path to it at all.
   Overlay o(4, 1);
   o.add_entry_point(0);
   o.add_entry_point(1);
@@ -190,14 +191,12 @@ TEST(LocalRepair, FailureLeavesOverlayUntouched) {
   o.add_link(0, 3, 1.0);
   o.add_link(1, 3, 1.0);
   net::Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(1, 2, 1.0);
   g.add_edge(0, 3, 1.0);
-  g.add_edge(1, 3, 1.0);  // no 2-3 edge
+  g.add_edge(1, 2, 1.0);
   ASSERT_TRUE(o.is_valid());
+  ASSERT_EQ(g.shortest_latencies(2)[3], net::kInfLatency);
   const Overlay before = o;
-  const auto result = remove_node_locally(o, 0, g, /*allow_logical=*/false);
+  const auto result = remove_node_locally(o, 0, g);
   EXPECT_FALSE(result.ok);
   // Unchanged on failure.
   EXPECT_EQ(o.edge_count(), before.edge_count());

@@ -80,7 +80,7 @@ run_overlay() {
   local out="$ROOT/BENCH_overlay.json"
   local tmp
   tmp="$(mktemp)"
-  local filter='BM_RobustTreeBuild|BM_OverlaySetBuildK10|BM_SimulatedAnnealing'
+  local filter='BM_RobustTreeBuild|BM_OverlaySetBuildK10|BM_OverlaySetWarmRebuild|BM_SimulatedAnnealing'
   if [[ $QUICK -eq 1 ]]; then
     filter='BM_RobustTreeBuild|BM_SimulatedAnnealingPass'
   fi
